@@ -12,12 +12,18 @@
 //!   resilience ladder and byte-budget [`SlotPool`]. A fault
 //!   quarantines *inside* its shard; the others keep their width.
 //! * the [`Router`] is the front of the memory system: it admits a
-//!   batch of jobs, groups them by pattern (same-pattern jobs share
-//!   compiled planes, so they belong together), routes each group to
-//!   its *affinity shard* — a deterministic hash of the pattern, so
-//!   repeat traffic re-hits warm caches — spilling to the least-loaded
-//!   shard when affinity would overload one, runs every shard in
-//!   parallel, and merges the reports back into submission order.
+//!   batch of jobs and routes it in two passes. First, jobs that share
+//!   one text slice form a *text unit*, and each unit goes whole to
+//!   the least-loaded shard (by characters), so every shared slice is
+//!   scanned by exactly one shard, whose planner streams it once past
+//!   its resident patterns (§3.4's chips on one text bus). Then the
+//!   jobs left, each with a text of its own, are grouped by pattern
+//!   (same-pattern jobs share compiled planes, so they belong
+//!   together) and each group goes to its *affinity shard* — a
+//!   deterministic hash of the pattern, so repeat traffic re-hits warm
+//!   caches — spilling to the least-loaded shard when affinity would
+//!   overload one. Every shard runs in parallel and the outputs are
+//!   moved back into submission order.
 //!
 //! Routing cost is accounted, not assumed: [`RouterReport`] carries
 //! `route_micros` plus every shard's `plan_micros`, and
@@ -44,8 +50,8 @@
 //! [`ThroughputEngine`]: crate::throughput::ThroughputEngine
 
 use crate::throughput::{
-    group_by_pattern, Job, JobOutput, JobRef, ResiliencePolicy, SlotPool, SuperWidth,
-    ThroughputEngine, ThroughputReport,
+    group_by_pattern, group_by_text, Job, JobOutput, JobRef, ResiliencePolicy, SlotPool,
+    SuperWidth, ThroughputEngine, ThroughputReport,
 };
 use pm_systolic::error::Error;
 use pm_systolic::symbol::Pattern;
@@ -130,6 +136,73 @@ fn pattern_shard(pattern: &Pattern) -> u64 {
     let mut h = DefaultHasher::new();
     pattern.hash(&mut h);
     h.finish()
+}
+
+/// Where one routed batch goes: job indices per shard, plus the
+/// counts [`RouterReport`] carries.
+#[derive(Debug)]
+struct Routing {
+    /// Global job indices admitted to each shard.
+    assignment: Vec<Vec<usize>>,
+    /// Text units plus pattern groups.
+    groups: u64,
+    /// Pattern groups routed away from their affinity shard.
+    moves: u64,
+}
+
+/// The router's assignment, as documented on [`Router::run_refs`]:
+/// shared-text units whole to the least-loaded shard (longest first),
+/// then own-text pattern groups to their affinity shard, spilling past
+/// ~1.25× the fair share of characters.
+fn route(jobs: &[JobRef<'_>], n: usize) -> Routing {
+    let (mut units, own) = group_by_text(jobs);
+    let mut groups = group_by_pattern(jobs, &own);
+    // Bucket groups by pattern length so each shard's own planner
+    // receives length-sorted singles — the shared discipline of
+    // `plan::bucket_by_len` applied one level up.
+    crate::plan::bucket_by_len(&mut groups, |(p, _)| p.len());
+    let group_count = (units.len() + groups.len()) as u64;
+
+    let unit_chars = |unit: &[usize]| jobs[unit[0]].text.len();
+    let total_chars: usize = units.iter().map(|u| unit_chars(u)).sum::<usize>()
+        + own.iter().map(|&i| jobs[i].text.len()).sum::<usize>();
+    // Fair share plus 25 % headroom: affinity wins until a shard
+    // would exceed it, then the group spills to the least loaded.
+    let cap = total_chars / n + total_chars / (4 * n) + 1;
+    let mut load = vec![0usize; n];
+    let mut assignment: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let least_loaded = |load: &[usize]| (0..n).min_by_key(|&s| load[s]).unwrap_or(0);
+
+    // Longest first (stable, so equal lengths keep first-seen order)
+    // is the classic greedy for balancing by size.
+    units.sort_by_key(|u| std::cmp::Reverse(unit_chars(u)));
+    for unit in units {
+        let target = least_loaded(&load);
+        load[target] += unit_chars(&unit);
+        assignment[target].extend_from_slice(&unit);
+    }
+
+    let mut moves = 0u64;
+    for (pattern, members) in groups {
+        let group_chars: usize = members.iter().map(|&i| jobs[i].text.len()).sum();
+        let preferred = (pattern_shard(pattern) % n as u64) as usize;
+        let target = if n > 1 && load[preferred] + group_chars > cap {
+            let least = least_loaded(&load);
+            if least != preferred {
+                moves += 1;
+            }
+            least
+        } else {
+            preferred
+        };
+        load[target] += group_chars;
+        assignment[target].extend_from_slice(&members);
+    }
+    Routing {
+        assignment,
+        groups: group_count,
+        moves,
+    }
 }
 
 /// The front of the memory system: admits jobs, balances them across
@@ -228,11 +301,22 @@ impl Router {
     /// merges the shard reports into one [`RouterReport`] whose
     /// `outputs` are in submission order.
     ///
-    /// Routing is by pattern group: all jobs sharing a pattern go to
-    /// the pattern's affinity shard unless that shard is already
-    /// loaded past ~1.25× its fair share of characters, in which case
-    /// the group spills to the least-loaded shard (counted in
-    /// [`RouterReport::affinity_moves`]).
+    /// Routing runs in two passes:
+    ///
+    /// 1. **Text units.** Jobs that share one text slice (the same
+    ///    borrow, so the same memory) form a unit; each unit goes whole
+    ///    to the least-loaded shard by characters, longest unit first,
+    ///    so every shared slice is scanned by exactly one shard — and,
+    ///    by that shard's planner, once per resident-pattern chunk.
+    /// 2. **Pattern groups.** The jobs left, each with a text of its
+    ///    own, are grouped by pattern: all jobs sharing a pattern go to
+    ///    the pattern's affinity shard unless that shard is already
+    ///    loaded past ~1.25× its fair share of characters, in which
+    ///    case the group spills to the least-loaded shard (counted in
+    ///    [`RouterReport::affinity_moves`]).
+    ///
+    /// Load is counted in characters to scan: a text unit weighs its
+    /// slice length once, an own-text job its text length.
     ///
     /// # Errors
     ///
@@ -243,36 +327,11 @@ impl Router {
         let wall = Instant::now();
         let route_timer = Instant::now();
         let n = self.shards.len();
-
-        let mut groups = group_by_pattern(jobs);
-        // Bucket groups by pattern length so each shard's own planner
-        // receives length-sorted singles — the shared discipline of
-        // `plan::bucket_by_len` applied one level up.
-        crate::plan::bucket_by_len(&mut groups, |(p, _)| p.len());
-        let group_count = groups.len() as u64;
-
-        let total_chars: usize = jobs.iter().map(|j| j.text.len()).sum();
-        // Fair share plus 25 % headroom: affinity wins until a shard
-        // would exceed it, then the group spills to the least loaded.
-        let cap = total_chars / n + total_chars / (4 * n) + 1;
-        let mut load = vec![0usize; n];
-        let mut assignment: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut moves = 0u64;
-        for (pattern, members) in groups {
-            let group_chars: usize = members.iter().map(|&i| jobs[i].text.len()).sum();
-            let preferred = (pattern_shard(pattern) % n as u64) as usize;
-            let target = if n > 1 && load[preferred] + group_chars > cap {
-                let least = (0..n).min_by_key(|&s| load[s]).unwrap_or(preferred);
-                if least != preferred {
-                    moves += 1;
-                }
-                least
-            } else {
-                preferred
-            };
-            load[target] += group_chars;
-            assignment[target].extend_from_slice(&members);
-        }
+        let Routing {
+            assignment,
+            groups: group_count,
+            moves,
+        } = route(jobs, n);
         let route_micros = route_timer.elapsed().as_micros() as u64;
 
         self.sink.record(TraceEvent::RouterPlanned {
@@ -320,10 +379,12 @@ impl Router {
             }
         }
 
+        // Move, don't clone: each shard's outputs are drained into
+        // submission order, leaving its report's `outputs` empty.
         let mut outputs: Vec<Option<JobOutput>> = vec![None; jobs.len()];
-        for (ids, report) in assignment.iter().zip(&shard_reports) {
-            for (&global, out) in ids.iter().zip(&report.outputs) {
-                outputs[global] = Some(out.clone());
+        for (ids, report) in assignment.iter().zip(&mut shard_reports) {
+            for (&global, out) in ids.iter().zip(report.outputs.drain(..)) {
+                outputs[global] = Some(out);
             }
         }
         let outputs = outputs
@@ -348,11 +409,16 @@ pub struct RouterReport {
     /// One output per job, in submission order.
     pub outputs: Vec<JobOutput>,
     /// Each shard's own report, in shard order (idle shards report
-    /// empty runs).
+    /// empty runs). The merge moves every output out into
+    /// [`outputs`](Self::outputs), so each shard report's `outputs` is
+    /// empty; its statistics (`workers`, `totals`, `plan_micros`,
+    /// `resilience`) are intact.
     pub shard_reports: Vec<ThroughputReport>,
-    /// Distinct pattern groups the batch split into.
+    /// Routing units the batch split into: shared-text units plus
+    /// pattern groups of own-text jobs.
     pub groups: u64,
-    /// Groups routed away from their affinity shard to balance load.
+    /// Pattern groups routed away from their affinity shard to
+    /// balance load (text units have no affinity to leave).
     pub affinity_moves: u64,
     /// Wall-clock the router spent grouping and assigning.
     pub route_micros: u64,
@@ -382,7 +448,12 @@ impl RouterReport {
         self.plan_micros() as f64 / self.wall_micros as f64
     }
 
-    /// Text characters processed, summed across shards.
+    /// Text characters processed, summed across shards. Characters
+    /// are counted per job, so a slice shared by 16 patterns counts 16
+    /// times even though its shard scans it once: a scan-amplification
+    /// figure taken as this over the corpus length still reads ≈ the
+    /// patterns per slice, and measures work requested, not text
+    /// streamed.
     pub fn total_chars(&self) -> u64 {
         self.shard_reports.iter().map(|r| r.totals.chars).sum()
     }
@@ -498,6 +569,181 @@ mod tests {
         let first = router.shard_for(42).id();
         assert_eq!(router.shard_for(42).id(), first);
         assert_eq!(router.shard(first).id(), first);
+    }
+
+    /// Eight 32-char slices of one buffer × four patterns (the ingest
+    /// shape), plus the own-text jobs of `job_mix`.
+    fn shared_and_own() -> (Vec<Symbol>, Vec<Pattern>, Vec<Job>) {
+        let corpus = letters(&"ABCABBACABCCABABDEFGCATCOTCUTQQC".repeat(8));
+        let patterns = ["AB", "CAB", "AXC", "DEFG"]
+            .iter()
+            .map(|p| Pattern::parse(p).unwrap())
+            .collect();
+        (corpus, patterns, job_mix())
+    }
+
+    fn refs_of<'a>(
+        corpus: &'a [Symbol],
+        patterns: &'a [Pattern],
+        own: &'a [Job],
+    ) -> Vec<JobRef<'a>> {
+        let mut refs = Vec::new();
+        for slice in corpus.chunks(32) {
+            for pattern in patterns {
+                refs.push(JobRef {
+                    id: refs.len() as u64,
+                    pattern,
+                    text: slice,
+                });
+            }
+        }
+        refs.extend(own.iter().map(Job::to_ref));
+        refs
+    }
+
+    #[test]
+    fn every_job_of_one_slice_lands_on_one_shard() {
+        let (corpus, patterns, own) = shared_and_own();
+        let refs = refs_of(&corpus, &patterns, &own);
+        for n in 1..=4 {
+            let routing = route(&refs, n);
+            let mut shard_of = vec![usize::MAX; refs.len()];
+            for (s, ids) in routing.assignment.iter().enumerate() {
+                for &i in ids {
+                    assert_eq!(shard_of[i], usize::MAX, "job {i} routed twice");
+                    shard_of[i] = s;
+                }
+            }
+            assert!(shard_of.iter().all(|&s| s < n), "every job routed");
+            for unit in refs[..8 * patterns.len()].chunks(patterns.len()) {
+                let first = shard_of[unit[0].id as usize];
+                assert!(
+                    unit.iter().all(|j| shard_of[j.id as usize] == first),
+                    "a slice split across shards at n = {n}"
+                );
+            }
+            // Routed results are the spec, in submission order.
+            let router = Router::new(RouterConfig {
+                shards: n,
+                workers_per_shard: 2,
+                ..RouterConfig::default()
+            });
+            let report = router.run_refs(&refs).unwrap();
+            for (job, out) in refs.iter().zip(&report.outputs) {
+                assert_eq!(out.id, job.id);
+                assert_eq!(out.hits.bits(), &match_spec(job.text, job.pattern)[..]);
+            }
+        }
+    }
+
+    #[test]
+    fn text_units_balance_by_characters() {
+        // Slices of 40, 30, 20 and 10 chars, each shared by 3 patterns:
+        // longest-first onto the least loaded gives 40 | 30 | 20 + 10
+        // on three shards, and 40 + 10 | 30 + 20 on two.
+        let corpus = letters(&"ABCAB".repeat(20));
+        let patterns: Vec<Pattern> = ["AB", "BC", "CA"]
+            .iter()
+            .map(|p| Pattern::parse(p).unwrap())
+            .collect();
+        let bounds = [(0, 10), (10, 30), (30, 60), (60, 100)];
+        let mut refs = Vec::new();
+        for &(lo, hi) in &bounds {
+            for pattern in &patterns {
+                refs.push(JobRef {
+                    id: refs.len() as u64,
+                    pattern,
+                    text: &corpus[lo..hi],
+                });
+            }
+        }
+        let load = |routing: &Routing| -> Vec<usize> {
+            routing
+                .assignment
+                .iter()
+                .map(|ids| {
+                    // Scanned characters: one slice length per unit.
+                    let mut seen: Vec<(usize, usize)> = ids
+                        .iter()
+                        .map(|&i| (refs[i].text.as_ptr() as usize, refs[i].text.len()))
+                        .collect();
+                    seen.dedup();
+                    seen.iter().map(|&(_, len)| len).sum()
+                })
+                .collect()
+        };
+        assert_eq!(load(&route(&refs, 3)), vec![40, 30, 30]);
+        assert_eq!(load(&route(&refs, 2)), vec![50, 50]);
+        let routing = route(&refs, 3);
+        assert_eq!(routing.groups, 4, "four text units, no pattern groups");
+        assert_eq!(routing.moves, 0, "text units have no affinity to leave");
+    }
+
+    #[test]
+    fn pattern_groups_keep_affinity_and_count_their_moves() {
+        let jobs = job_mix();
+        let refs: Vec<JobRef<'_>> = jobs.iter().map(Job::to_ref).collect();
+        for n in 1..=5 {
+            let routing = route(&refs, n);
+            let mut away = 0u64;
+            for (s, ids) in routing.assignment.iter().enumerate() {
+                for &i in ids {
+                    let preferred = (pattern_shard(refs[i].pattern) % n as u64) as usize;
+                    // Each group moves whole, so count it at its
+                    // first-submitted job.
+                    let first = refs.iter().position(|j| j.pattern == refs[i].pattern);
+                    if s != preferred && first == Some(i) {
+                        away += 1;
+                    }
+                }
+            }
+            assert_eq!(routing.moves, away, "n = {n}");
+            assert_eq!(routing.groups, 5, "five patterns, no shared text");
+            if n == 1 {
+                assert_eq!(routing.moves, 0);
+            }
+        }
+        // Affinity is a pure function of the batch: the same traffic
+        // lands on the same shards every time.
+        let (a, b) = (route(&refs, 4), route(&refs, 4));
+        assert_eq!(a.assignment, b.assignment);
+    }
+
+    #[test]
+    fn groups_count_text_units_plus_pattern_groups() {
+        let (corpus, patterns, own) = shared_and_own();
+        let refs = refs_of(&corpus, &patterns, &own);
+        let router = Router::new(RouterConfig {
+            shards: 2,
+            workers_per_shard: 1,
+            ..RouterConfig::default()
+        });
+        let report = router.run_refs(&refs).unwrap();
+        assert_eq!(report.groups, 8 + 5, "eight slices plus five patterns");
+        assert_eq!(report.groups, route(&refs, 2).groups);
+    }
+
+    #[test]
+    fn merge_moves_outputs_and_keeps_shard_stats() {
+        let (corpus, patterns, own) = shared_and_own();
+        let refs = refs_of(&corpus, &patterns, &own);
+        let router = Router::new(RouterConfig {
+            shards: 3,
+            workers_per_shard: 2,
+            ..RouterConfig::default()
+        });
+        let report = router.run_refs(&refs).unwrap();
+        assert_eq!(report.outputs.len(), refs.len());
+        for (job, out) in refs.iter().zip(&report.outputs) {
+            assert_eq!(out.id, job.id);
+            assert_eq!(out.hits.bits(), &match_spec(job.text, job.pattern)[..]);
+        }
+        // Drained into `outputs`; the statistics stay.
+        assert!(report.shard_reports.iter().all(|r| r.outputs.is_empty()));
+        let jobs: u64 = report.shard_reports.iter().map(|r| r.totals.jobs).sum();
+        assert_eq!(jobs, refs.len() as u64);
+        let chars: u64 = refs.iter().map(|j| j.text.len() as u64).sum();
+        assert_eq!(report.total_chars(), chars, "characters counted per job");
     }
 
     #[test]

@@ -895,7 +895,7 @@ impl TelemetrySnapshot {
             ),
             (
                 "pm_router_groups_total",
-                "Pattern groups the router planned.",
+                "Routing units (shared-text units plus pattern groups) the router planned.",
                 self.router_groups,
             ),
             (

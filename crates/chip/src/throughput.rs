@@ -10,11 +10,14 @@
 //! ([`pm_systolic::superplane`]). This module is the host-side
 //! scheduler that keeps those lanes full:
 //!
-//! * [`ThroughputEngine::run`] plans batches *globally* — every job is
-//!   grouped by pattern across the whole submission, so same-pattern
-//!   jobs land in the same zero-setup uniform batch no matter which
-//!   worker would have owned them under static sharding; leftover
-//!   singletons pool into mixed batches;
+//! * [`ThroughputEngine::run`] plans batches *globally*. Jobs that
+//!   borrow one text slice become a shared batch: their patterns sit
+//!   resident in the lanes of a [`ResidentGroup`] and the slice is
+//!   scanned once, at the narrowest width that holds them.
+//!   The rest are grouped by pattern across the whole submission, so
+//!   same-pattern jobs land in the same zero-setup uniform batch no
+//!   matter which worker would have owned them under static sharding;
+//!   leftover singletons pool into mixed batches;
 //! * batches go onto per-worker deques and workers *steal*: each pops
 //!   its own deque from the front and raids the back of its neighbours'
 //!   when it runs dry, so a straggler batch never idles the rest of the
@@ -65,6 +68,7 @@ use pm_matchers::software_fallback;
 use pm_systolic::batch::{match_lanes, match_uniform, CompiledPattern};
 use pm_systolic::engine::MatchBits;
 use pm_systolic::error::Error;
+use pm_systolic::resident::ResidentGroup;
 use pm_systolic::spec::match_spec;
 use pm_systolic::superplane::{
     lanes_of, match_lanes_wide, match_uniform_wide, simd_level, SimdLevel,
@@ -530,8 +534,29 @@ fn ladder_rungs(width: SuperWidth) -> &'static [SuperWidth] {
 }
 
 /// One planned batch: global job indices that will advance together.
+///
+/// There are three kinds, tried in this order by [`plan_batches`]:
+///
+/// * [`Shared`](BatchDesc::Shared) — every member searches the *same*
+///   text slice with its own pattern. The patterns sit resident in the
+///   lanes of a [`ResidentGroup`] and the text streams past them once
+///   (§3.4's chips on one text bus), instead of once per pattern.
+/// * [`Uniform`](BatchDesc::Uniform) — every member shares one pattern
+///   over texts of their own: the zero-setup broadcast path.
+/// * [`Mixed`](BatchDesc::Mixed) — the leftovers, one pattern and one
+///   text per lane.
 #[derive(Debug)]
 enum BatchDesc {
+    /// Every member searches one shared text slice.
+    Shared {
+        /// Global indices into the run's job slice.
+        members: Vec<usize>,
+        /// The narrowest width whose lanes hold the members, capped at
+        /// the run's width: a 16-pattern slice runs at
+        /// [`W1`](SuperWidth::W1) even on a `W8` engine, because the
+        /// resident kernel's cost per character scales with the width.
+        width: SuperWidth,
+    },
     /// Every member shares one pattern — zero-setup uniform path.
     Uniform {
         /// Global indices into the run's job slice.
@@ -544,18 +569,105 @@ enum BatchDesc {
     },
 }
 
-/// Groups job indices by pattern, preserving first-seen order — the
-/// shared first stage of the batch planner below and the
-/// [`Router`](crate::shard::Router)'s affinity planner.
-pub(crate) fn group_by_pattern<'a>(jobs: &[JobRef<'a>]) -> Vec<(&'a Pattern, Vec<usize>)> {
+impl BatchDesc {
+    /// Global indices of the jobs this batch carries.
+    fn members(&self) -> &[usize] {
+        match self {
+            BatchDesc::Shared { members, .. }
+            | BatchDesc::Uniform { members }
+            | BatchDesc::Mixed { members } => members,
+        }
+    }
+
+    /// The width the batch runs at on a run of width `run`.
+    fn width(&self, run: SuperWidth) -> SuperWidth {
+        match self {
+            BatchDesc::Shared { width, .. } => *width,
+            BatchDesc::Uniform { .. } | BatchDesc::Mixed { .. } => run,
+        }
+    }
+}
+
+/// The narrowest width whose lanes hold `lanes` streams, never wider
+/// than `cap`.
+fn narrowest_holding(lanes: usize, cap: SuperWidth) -> SuperWidth {
+    [SuperWidth::W1, SuperWidth::W4, SuperWidth::W8]
+        .into_iter()
+        .find(|w| w.lanes() >= lanes || *w == cap)
+        .unwrap_or(cap)
+}
+
+/// Groups job indices by text-slice identity — `(text.as_ptr(),
+/// text.len())`, so two jobs borrowing the same slice of one buffer
+/// share a key, and an equal key under one borrow means equal content.
+/// Returns the slices carrying two or more jobs (first-seen order, each
+/// unit's members in submission order) and, in submission order, every
+/// job with a text of its own. Empty texts count as their own: there is
+/// nothing to scan once. The shared first stage of [`plan_batches`] and
+/// the [`Router`](crate::shard::Router), which sends each unit whole
+/// to one shard.
+pub(crate) fn group_by_text(jobs: &[JobRef<'_>]) -> (Vec<Vec<usize>>, Vec<usize>) {
+    const EMPTY: usize = usize::MAX;
+    // Pass 1: a slice id per job and a job count per slice. Jobs on one
+    // slice usually arrive back to back (a dictionary over a window),
+    // so the previous job's slice is tried before the map.
+    let mut slot: HashMap<(usize, usize), usize> = HashMap::with_capacity(jobs.len());
+    let mut count: Vec<usize> = Vec::new();
+    let mut last: Option<((usize, usize), usize)> = None;
+    let slice_of: Vec<usize> = jobs
+        .iter()
+        .map(|job| {
+            if job.text.is_empty() {
+                return EMPTY;
+            }
+            let key = (job.text.as_ptr() as usize, job.text.len());
+            let id = match last {
+                Some((seen, id)) if seen == key => id,
+                _ => *slot.entry(key).or_insert_with(|| {
+                    count.push(0);
+                    count.len() - 1
+                }),
+            };
+            last = Some((key, id));
+            count[id] += 1;
+            id
+        })
+        .collect();
+    // Pass 2: member lists only for the shared slices, so a run of
+    // own-text jobs allocates none.
+    let mut unit_of = vec![EMPTY; count.len()];
+    let mut units: Vec<Vec<usize>> = Vec::new();
+    let mut own = Vec::new();
+    for (i, &id) in slice_of.iter().enumerate() {
+        if id == EMPTY || count[id] == 1 {
+            own.push(i);
+            continue;
+        }
+        if unit_of[id] == EMPTY {
+            unit_of[id] = units.len();
+            units.push(Vec::with_capacity(count[id]));
+        }
+        units[unit_of[id]].push(i);
+    }
+    (units, own)
+}
+
+/// Groups the jobs at `ids` by pattern, preserving first-seen order —
+/// the shared pattern stage of the batch planner below, of recovery,
+/// and of the [`Router`](crate::shard::Router)'s affinity planner.
+pub(crate) fn group_by_pattern<'a>(
+    jobs: &[JobRef<'a>],
+    ids: &[usize],
+) -> Vec<(&'a Pattern, Vec<usize>)> {
     let mut order: Vec<&Pattern> = Vec::new();
     let mut groups: HashMap<&Pattern, Vec<usize>> = HashMap::new();
-    for (i, job) in jobs.iter().enumerate() {
-        groups.entry(job.pattern).or_insert_with(|| {
-            order.push(job.pattern);
+    for &i in ids {
+        let pattern = jobs[i].pattern;
+        groups.entry(pattern).or_insert_with(|| {
+            order.push(pattern);
             Vec::new()
         });
-        groups.get_mut(job.pattern).expect("just inserted").push(i);
+        groups.get_mut(pattern).expect("just inserted").push(i);
     }
     order
         .into_iter()
@@ -566,19 +678,42 @@ pub(crate) fn group_by_pattern<'a>(jobs: &[JobRef<'a>]) -> Vec<(&'a Pattern, Vec
         .collect()
 }
 
-/// Groups all jobs by pattern (first-seen order) and cuts the groups
-/// into width-sized batches. Groups of two or more ride the uniform
-/// path; singletons pool into mixed batches, length-bucketed via
-/// [`plan::bucket_by_len`](crate::plan::bucket_by_len) so one long
-/// straggler can't inflate the `kmax` of every mixed batch it touches
-/// — the dictionary planner in `pm_chip::dictionary` leans on the same
-/// bucketing. Global planning is what lets same-pattern jobs share a
-/// batch regardless of submission order — the old per-shard grouping
+/// Plans a run of width `width` in three stages, one per
+/// [`BatchDesc`] kind.
+///
+/// 1. **Shared text.** Jobs are grouped by text-slice identity
+///    ([`group_by_text`]); every slice carrying two or more jobs is cut
+///    into chunks of at most `width.lanes()` patterns, each a
+///    [`BatchDesc::Shared`] batch at the narrowest width that holds the
+///    chunk (≤ 64 patterns → `W1`, ≤ 256 → `W4`, else `W8`), capped at
+///    `width`. The slice is scanned once per chunk, not once per
+///    pattern.
+/// 2. **Uniform.** The jobs left — each with a text of its own — are
+///    grouped by pattern (first-seen order); groups of two or more are
+///    cut into `width.lanes()`-sized uniform batches.
+/// 3. **Mixed.** Pattern singletons pool into mixed batches,
+///    length-bucketed via [`plan::bucket_by_len`](crate::plan::bucket_by_len)
+///    so one long straggler can't inflate the `kmax` of every mixed
+///    batch it touches — the dictionary planner in `pm_chip::dictionary`
+///    leans on the same bucketing.
+///
+/// Global planning is what lets same-pattern (or same-text) jobs share
+/// a batch regardless of submission order — the old per-shard grouping
 /// could only merge jobs that happened to land on the same worker.
-fn plan_batches(jobs: &[JobRef<'_>], lanes: usize) -> Vec<BatchDesc> {
+fn plan_batches(jobs: &[JobRef<'_>], width: SuperWidth) -> Vec<BatchDesc> {
+    let lanes = width.lanes();
     let mut plan = Vec::new();
+    let (units, own) = group_by_text(jobs);
+    for unit in units {
+        for chunk in unit.chunks(lanes) {
+            plan.push(BatchDesc::Shared {
+                members: chunk.to_vec(),
+                width: narrowest_holding(chunk.len(), width),
+            });
+        }
+    }
     let mut singles: Vec<usize> = Vec::new();
-    for (_, members) in group_by_pattern(jobs) {
+    for (_, members) in group_by_pattern(jobs, &own) {
         if members.len() == 1 {
             singles.push(members[0]);
             continue;
@@ -837,7 +972,7 @@ impl ThroughputEngine {
 
         let counters = ThroughputCounters::new();
         let plan_timer = Instant::now();
-        let plan = plan_batches(jobs, width.lanes());
+        let plan = plan_batches(jobs, width);
         let plan_micros = plan_timer.elapsed().as_micros() as u64;
         let queue = WorkQueue::new(plan.len(), self.workers);
         let mut outputs: Vec<Option<JobOutput>> = vec![None; jobs.len()];
@@ -921,7 +1056,7 @@ impl ThroughputEngine {
 
         let counters = ThroughputCounters::new();
         let plan_timer = Instant::now();
-        let plan = plan_batches(jobs, width.lanes());
+        let plan = plan_batches(jobs, width);
         let plan_micros = plan_timer.elapsed().as_micros() as u64;
         let queue = WorkQueue::new(plan.len(), self.workers);
         let mut outputs: Vec<Option<JobOutput>> = vec![None; jobs.len()];
@@ -1083,22 +1218,10 @@ impl ThroughputEngine {
         // uniform path, then chunk at the *narrowest* rung width so one
         // chunk fits every rung it may descend through.
         let narrow = rungs[rungs.len() - 1].lanes();
-        let mut order: Vec<&Pattern> = Vec::new();
-        let mut groups: HashMap<&Pattern, Vec<usize>> = HashMap::new();
-        for &i in unresolved {
-            groups.entry(jobs[i].pattern).or_insert_with(|| {
-                order.push(jobs[i].pattern);
-                Vec::new()
-            });
-            groups
-                .get_mut(jobs[i].pattern)
-                .expect("just inserted")
-                .push(i);
-        }
         let mut chunk_no = 0usize;
-        for pattern in order {
+        for (pattern, members) in group_by_pattern(jobs, unresolved) {
             let (compiled, _) = cache.get_or_compile(pattern);
-            for chunk in groups[pattern].chunks(narrow) {
+            for chunk in members.chunks(narrow) {
                 let texts: Vec<&[Symbol]> = chunk.iter().map(|&i| jobs[i].text).collect();
                 let truth: Vec<Vec<bool>> = chunk
                     .iter()
@@ -1241,6 +1364,21 @@ fn execute_members(
     width: SuperWidth,
 ) -> Result<(Vec<MatchBits>, bool), Error> {
     match desc {
+        BatchDesc::Shared {
+            members,
+            width: batch_width,
+        } => {
+            // No compiled-pattern lookup: the group merges its lanes'
+            // planes itself, once per batch, and scans the text once.
+            let patterns: Vec<&Pattern> = members.iter().map(|&i| jobs[i].pattern).collect();
+            let text = jobs[members[0]].text;
+            let hits = match batch_width {
+                SuperWidth::W1 => ResidentGroup::<1>::new(&patterns)?.match_text(text),
+                SuperWidth::W4 => ResidentGroup::<4>::new(&patterns)?.match_text(text),
+                SuperWidth::W8 => ResidentGroup::<8>::new(&patterns)?.match_text(text),
+            };
+            Ok((hits, false))
+        }
         BatchDesc::Uniform { members } => {
             let (compiled, hit) =
                 lookup_pattern(jobs[members[0]].pattern, local, index, counters, sink);
@@ -1354,9 +1492,7 @@ fn worker_run(
                 victim: victim as u32,
             });
         }
-        let members = match &plan[b] {
-            BatchDesc::Uniform { members } | BatchDesc::Mixed { members } => members,
-        };
+        let members = plan[b].members();
         if sink.enabled() {
             for &i in members {
                 sink.record(TraceEvent::JobStarted {
@@ -1393,7 +1529,7 @@ fn worker_run(
             counters,
             sink,
             elapsed_micros(timer),
-            width,
+            plan[b].width(width),
         );
     }
 
@@ -1408,7 +1544,11 @@ fn elapsed_micros(timer: Option<Instant>) -> u64 {
 }
 
 /// Books one completed batch into outputs, stats, counters and the
-/// trace sink.
+/// trace sink. `width` is the width the batch actually ran at, so its
+/// lane slots are booked at that width; `steps` is the longest member
+/// text (a shared batch's one text). Characters are booked per job —
+/// a shared slice scanned once still counts once per pattern — so
+/// `chars` measures work requested, not text streamed.
 #[allow(clippy::too_many_arguments)]
 fn record_batch(
     members: &[usize],
@@ -1611,9 +1751,7 @@ fn resilient_worker(
                 victim: victim as u32,
             });
         }
-        let members = match &plan[b] {
-            BatchDesc::Uniform { members } | BatchDesc::Mixed { members } => members,
-        };
+        let members = plan[b].members();
         if sink.enabled() {
             for &i in members {
                 sink.record(TraceEvent::JobStarted {
@@ -1682,7 +1820,7 @@ fn resilient_worker(
             &mut stats,
             sink,
             elapsed_micros(Some(timer)),
-            width,
+            plan[b].width(width),
         );
     }
 
@@ -1988,7 +2126,7 @@ mod tests {
             .map(|id| Job::new(id, p.clone(), text_from_letters("ABAB").unwrap()))
             .collect();
         let refs: Vec<JobRef<'_>> = jobs.iter().map(Job::to_ref).collect();
-        let plan = plan_batches(&refs, SuperWidth::W8.lanes());
+        let plan = plan_batches(&refs, SuperWidth::W8);
         assert_eq!(plan.len(), 1);
         match &plan[0] {
             BatchDesc::Uniform { members } => assert_eq!(members.len(), 8),
@@ -2010,7 +2148,7 @@ mod tests {
             .collect();
         jobs.push(Job::new(999, q.clone(), text_from_letters("BA").unwrap()));
         let refs: Vec<JobRef<'_>> = jobs.iter().map(Job::to_ref).collect();
-        let plan = plan_batches(&refs, lanes);
+        let plan = plan_batches(&refs, SuperWidth::W1);
         // 65+2 same-pattern jobs → two uniform batches; the singleton
         // rides a mixed batch of its own.
         assert_eq!(plan.len(), 3);
@@ -2025,6 +2163,171 @@ mod tests {
                 assert_eq!(m2, &vec![jobs.len() - 1]);
             }
             other => panic!("unexpected plan {other:?}"),
+        }
+    }
+
+    /// `n` distinct literal patterns of length 2–5 over {A, B, C}.
+    fn distinct_patterns(n: usize) -> Vec<Pattern> {
+        let mut out = Vec::new();
+        let mut len = 2;
+        while out.len() < n {
+            for code in 0..3usize.pow(len as u32) {
+                let s: String = (0..len)
+                    .map(|d| (b'A' + (code / 3usize.pow(d as u32) % 3) as u8) as char)
+                    .collect();
+                out.push(Pattern::parse(&s).unwrap());
+                if out.len() == n {
+                    break;
+                }
+            }
+            len += 1;
+        }
+        out
+    }
+
+    #[test]
+    fn shared_slices_plan_as_one_scan_at_the_narrowest_width() {
+        let text = text_from_letters("ABCABBACABCCABAB").unwrap();
+        let patterns = distinct_patterns(300);
+        let own = text_from_letters("CABAB").unwrap();
+        for (count, run, want) in [
+            (16, SuperWidth::W8, vec![(16, SuperWidth::W1)]),
+            (65, SuperWidth::W8, vec![(65, SuperWidth::W4)]),
+            (300, SuperWidth::W8, vec![(300, SuperWidth::W8)]),
+            (65, SuperWidth::W4, vec![(65, SuperWidth::W4)]),
+            (
+                300,
+                SuperWidth::W4,
+                vec![(256, SuperWidth::W4), (44, SuperWidth::W1)],
+            ),
+            (
+                65,
+                SuperWidth::W1,
+                vec![(64, SuperWidth::W1), (1, SuperWidth::W1)],
+            ),
+        ] {
+            let mut refs: Vec<JobRef<'_>> = patterns[..count]
+                .iter()
+                .enumerate()
+                .map(|(id, pattern)| JobRef {
+                    id: id as u64,
+                    pattern,
+                    text: &text,
+                })
+                .collect();
+            // A job with a text of its own keeps the old path.
+            refs.push(JobRef {
+                id: 999,
+                pattern: &patterns[0],
+                text: &own,
+            });
+            let plan = plan_batches(&refs, run);
+            let shared: Vec<(usize, SuperWidth)> = plan
+                .iter()
+                .filter(|d| matches!(d, BatchDesc::Shared { .. }))
+                .map(|d| (d.members().len(), d.width(run)))
+                .collect();
+            assert_eq!(shared, want, "{count} patterns at {run}");
+            assert!(
+                matches!(plan.last(), Some(BatchDesc::Mixed { members }) if members == &vec![count]),
+                "the own-text job rides a mixed batch"
+            );
+        }
+    }
+
+    #[test]
+    fn equal_content_in_distinct_buffers_is_not_shared() {
+        // Identity, not content, is the key: two equal texts in two
+        // allocations are two units, and empty texts never share.
+        let p = Pattern::parse("AB").unwrap();
+        let q = Pattern::parse("BA").unwrap();
+        let a = text_from_letters("ABAB").unwrap();
+        let b = a.clone();
+        let refs = [
+            JobRef {
+                id: 0,
+                pattern: &p,
+                text: &a,
+            },
+            JobRef {
+                id: 1,
+                pattern: &q,
+                text: &b,
+            },
+            JobRef {
+                id: 2,
+                pattern: &p,
+                text: &a[..0],
+            },
+            JobRef {
+                id: 3,
+                pattern: &q,
+                text: &a[..0],
+            },
+        ];
+        let (units, own) = group_by_text(&refs);
+        assert!(units.is_empty());
+        assert_eq!(own, vec![0, 1, 2, 3]);
+        // A sub-slice of the same buffer is a different slice.
+        let refs = [
+            refs[0],
+            JobRef {
+                text: &a[..2],
+                ..refs[1]
+            },
+            JobRef {
+                text: &a,
+                ..refs[1]
+            },
+        ];
+        let (units, own) = group_by_text(&refs);
+        assert_eq!(units, vec![vec![0, 2]]);
+        assert_eq!(own, vec![1]);
+    }
+
+    #[test]
+    fn shared_batches_book_slots_at_their_own_width() {
+        let text = text_from_letters("ABCABBACABCCABABCCAB").unwrap();
+        let patterns = distinct_patterns(16);
+        let refs: Vec<JobRef<'_>> = patterns
+            .iter()
+            .enumerate()
+            .map(|(id, pattern)| JobRef {
+                id: id as u64,
+                pattern,
+                text: &text,
+            })
+            .collect();
+        let sink = Arc::new(pm_systolic::telemetry::MemorySink::new());
+        let mut engine = ThroughputEngine::with_sink(2, 8, SinkHandle::new(sink.clone()));
+        for policy in [None, Some(ResiliencePolicy::default())] {
+            engine.set_resilience(policy);
+            let before = sink.len();
+            let report = engine.run_refs(&refs).unwrap();
+            for (job, out) in refs.iter().zip(&report.outputs) {
+                assert_eq!(out.hits.bits(), match_spec(job.text, job.pattern));
+            }
+            // One W1 batch on a W8 engine: 64 slots, 16 used, and
+            // characters still counted per job.
+            assert_eq!(report.totals.batches, 1);
+            assert_eq!(report.totals.lane_slots_total, 64);
+            assert_eq!(report.totals.lane_slots_used, 16);
+            assert_eq!(report.totals.chars, 16 * text.len() as u64);
+            let slots: u64 = report.workers.iter().map(|w| w.lane_slots).sum();
+            assert_eq!(slots, 64);
+            let executed: Vec<(u32, u32, u64)> = sink.events()[before..]
+                .iter()
+                .filter_map(|e| match e {
+                    TraceEvent::BatchExecuted {
+                        lanes,
+                        slots,
+                        steps,
+                        ..
+                    } => Some((*lanes, *slots, *steps)),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(executed, vec![(16, 64, text.len() as u64)]);
         }
     }
 

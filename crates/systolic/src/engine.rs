@@ -308,26 +308,37 @@ impl MatchBits {
 
     /// Text positions where a match ends, in increasing order.
     ///
+    /// Matches are sparse on real texts, so the bits are tested in
+    /// 64-position blocks and an all-false block is skipped whole (the
+    /// block test is a branch-free OR the compiler vectorises).
+    ///
     /// ```
     /// use pm_systolic::engine::MatchBits;
     /// let m = MatchBits::new(vec![false, false, true, true], 1);
     /// assert_eq!(m.ending_positions(), vec![2, 3]);
     /// ```
     pub fn ending_positions(&self) -> Vec<usize> {
-        self.bits
-            .iter()
-            .enumerate()
-            .filter(|(_, &b)| b)
-            .map(|(i, _)| i)
-            .collect()
+        let mut ends = Vec::new();
+        for (block, bits) in self.bits.chunks(64).enumerate() {
+            if !bits.iter().fold(false, |any, &b| any | b) {
+                continue;
+            }
+            let base = block * 64;
+            ends.extend(
+                bits.iter()
+                    .enumerate()
+                    .filter(|(_, &b)| b)
+                    .map(|(i, _)| base + i),
+            );
+        }
+        ends
     }
 
     /// Text positions where a match *starts* (`end − k`).
     pub fn starting_positions(&self) -> Vec<usize> {
-        self.ending_positions()
-            .iter()
-            .map(|&e| e - self.k)
-            .collect()
+        let mut starts = self.ending_positions();
+        starts.iter_mut().for_each(|e| *e -= self.k);
+        starts
     }
 
     /// Number of matches found.
@@ -532,5 +543,44 @@ mod tests {
         assert!(m.bit(1));
         assert!(!m.bit(99));
         assert_eq!(m.bits().len(), 4);
+    }
+
+    #[test]
+    fn block_skipping_positions_equal_the_naive_filter() {
+        fn naive(bits: &[bool]) -> Vec<usize> {
+            (0..bits.len()).filter(|&i| bits[i]).collect()
+        }
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for len in [0, 1, 2, 63, 64, 65, 127, 128, 129, 191, 300, 1000] {
+            let sparse: Vec<bool> = (0..len).map(|_| next() % 97 == 0).collect();
+            let dense: Vec<bool> = (0..len).map(|_| next() % 2 == 0).collect();
+            // One hit in the last position of a ragged tail block.
+            let mut last = vec![false; len];
+            if let Some(b) = last.last_mut() {
+                *b = true;
+            }
+            for bits in [vec![false; len], vec![true; len], sparse, dense, last] {
+                let want = naive(&bits);
+                let m = MatchBits::new(bits.clone(), 0);
+                assert_eq!(m.ending_positions(), want, "len {len}");
+                assert_eq!(m.starting_positions(), want, "len {len}");
+                assert_eq!(m.count(), want.len(), "len {len}");
+                // With k = 2 no window ends before position 2, as from
+                // a real engine; starts are the ends shifted by k.
+                let mut real = bits;
+                real.iter_mut().take(2).for_each(|b| *b = false);
+                let ends = naive(&real);
+                let starts: Vec<usize> = ends.iter().map(|&e| e - 2).collect();
+                let m = MatchBits::new(real, 2);
+                assert_eq!(m.ending_positions(), ends, "len {len}");
+                assert_eq!(m.starting_positions(), starts, "len {len}");
+            }
+        }
     }
 }

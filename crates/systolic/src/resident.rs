@@ -50,6 +50,7 @@ use crate::engine::MatchBits;
 use crate::error::Error;
 use crate::superplane::{lanes_of, simd_level, SimdLevel, Superplane, MAX_WIDTH};
 use crate::symbol::{PatSym, Pattern, Symbol};
+use std::borrow::Borrow;
 
 /// One match event from a resident group: `(end, lane)` — the pattern
 /// resident in `lane` matched the window ending at text position `end`.
@@ -88,11 +89,13 @@ pub struct ResidentGroup<const W: usize> {
 
 impl<const W: usize> ResidentGroup<W> {
     /// Merges `patterns` into resident control planes, one lane each.
+    /// Owned patterns and borrowed ones (`&[&Pattern]`, as a batch
+    /// planner holds them) are both accepted.
     ///
     /// # Errors
     ///
     /// [`Error::TooManyLanes`] for more than `W × 64` patterns.
-    pub fn new(patterns: &[Pattern]) -> Result<Self, Error> {
+    pub fn new<P: Borrow<Pattern>>(patterns: &[P]) -> Result<Self, Error> {
         const { assert!(W >= 1 && W <= MAX_WIDTH) };
         if patterns.len() > lanes_of(W) {
             return Err(Error::TooManyLanes {
@@ -100,23 +103,20 @@ impl<const W: usize> ResidentGroup<W> {
                 capacity: lanes_of(W),
             });
         }
-        let kmax = patterns.iter().map(|p| p.len()).max().unwrap_or(0);
-        let size = patterns
-            .iter()
-            .map(|p| p.alphabet().size())
-            .max()
-            .unwrap_or(1);
+        let patterns = || patterns.iter().map(Borrow::<Pattern>::borrow);
+        let kmax = patterns().map(Pattern::len).max().unwrap_or(0);
+        let size = patterns().map(|p| p.alphabet().size()).max().unwrap_or(1);
         let mut group = ResidentGroup {
-            lanes: patterns.len(),
+            lanes: patterns().len(),
             kmax,
-            ks: patterns.iter().map(|p| p.k()).collect(),
+            ks: patterns().map(Pattern::k).collect(),
             size,
             acc: vec![[0u64; W]; kmax * size],
             wild: vec![[0u64; W]; kmax],
             end: vec![[0u64; W]; kmax],
             end_positions: Vec::new(),
         };
-        for (l, p) in patterns.iter().enumerate() {
+        for (l, p) in patterns().enumerate() {
             let (word, bit) = (l / 64, (l % 64) as u32);
             let lane = 1u64 << bit;
             for (m, sym) in p.symbols().iter().enumerate() {
@@ -396,7 +396,7 @@ mod tests {
                 capacity: 64
             })
         ));
-        let empty = ResidentGroup::<1>::new(&[]).unwrap();
+        let empty = ResidentGroup::<1>::new::<Pattern>(&[]).unwrap();
         assert_eq!(empty.lanes(), 0);
         assert!(empty.scan(&letters("ABC")).is_empty());
         assert!(empty.match_text(&letters("ABC")).is_empty());

@@ -278,16 +278,19 @@ pub enum TraceEvent {
         /// The worker whose deque lost the batch.
         victim: u32,
     },
-    /// The router planned one run: jobs were grouped by pattern and
-    /// spread across shards by load and pattern affinity.
+    /// The router planned one run: jobs were grouped into shared-text
+    /// units and pattern groups and spread across shards by load and
+    /// pattern affinity.
     RouterPlanned {
         /// Shards the plan spread work over.
         shards: u32,
         /// Jobs admitted to the run.
         jobs: u64,
-        /// Distinct pattern groups the jobs collapsed into.
+        /// Routing units the jobs collapsed into: shared-text units
+        /// plus pattern groups of own-text jobs.
         groups: u64,
-        /// Groups moved off their affinity shard for load balance.
+        /// Pattern groups moved off their affinity shard for load
+        /// balance.
         moves: u64,
         /// Wall-clock microseconds routing took (admission overhead,
         /// excluding the per-shard batch planners).
